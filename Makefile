@@ -1,10 +1,14 @@
 # CI entry points for the chase & backchase optimizer.
 #
-#   make ci         - everything a regression gate needs: vet, build, the
-#                     full test suite, a race-detector pass over the
-#                     concurrency-heavy packages, and a one-iteration
-#                     benchmark smoke so the benchmark harness itself
-#                     cannot rot.
+#   make ci         - everything a regression gate needs: vet, the
+#                     serving gates' -run pattern check (gate-patterns),
+#                     build, the full test suite, a race-detector pass
+#                     over the concurrency-heavy packages, and a
+#                     one-iteration benchmark smoke so the benchmark
+#                     harness itself cannot rot.
+#   make gate-patterns - fail when an alternative of a serve-* target's
+#                     -run pattern matches no test (a renamed test would
+#                     otherwise leave its gate silently empty).
 #   make test       - fast feedback: plain test run, no race detector.
 #   make race       - race-detector run of the concurrency-heavy packages
 #                     (the parallel backchase engine and everything it
@@ -70,6 +74,14 @@ BENCH_BASELINE ?= BENCH_BASELINE.json
 # serial run; the gate always measures at parallelism 1.
 BENCH_GATE_FLAGS = -parallelism 1
 
+# The -run patterns of the race-instrumented serving gates (serve-load,
+# serve-cold, serve-adaptive) and the packages they select from;
+# gate-patterns checks every alternative against the tests that exist.
+SERVE_PKGS = ./internal/bench ./internal/service ./cmd/cnbd
+SERVE_LOAD_RUN = TestServiceLoadHarness|TestQueryLoadHarness|TestRunQueryLoad|TestSingleflight|TestAlphaRenamed|TestWaiterCancellation|TestLastCallerCancellation|TestSetStats|TestStatsSwap|TestQuery|TestInstallInstance
+SERVE_COLD_RUN = TestE20ColdTiered|TestTiered|TestDetachedFlight|TestWarmShape|TestPercentile|TestTieredOptimizeEndToEnd
+SERVE_ADAPTIVE_RUN = TestE21Adaptive|TestPredictor|TestClassify|TestFastPlan|TestPredicted|TestSynchronousReason|TestHistogram|TestServiceHistograms|TestQueryHistograms|TestMetricsKeyOrder|TestOptimizeTierReason|TestMetricsHistResetOnScrape
+
 # The packages whose tests exercise shared mutable state across
 # goroutines: the worker-pool backchase engine, the chase it drives
 # concurrently, the congruence closures cloned across workers, the
@@ -87,12 +99,27 @@ CNBD_ADDR ?= 127.0.0.1:18343
 EXEC_ROWS ?= 100000
 EXEC_TIMEOUT ?= 600
 
-.PHONY: ci vet build test race bench-smoke bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
+.PHONY: ci vet gate-patterns build test race bench-smoke bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
 
-ci: vet build test race bench-smoke
+ci: vet gate-patterns build test race bench-smoke
 
 vet:
 	$(GO) vet ./...
+
+# A -run alternative that matches nothing still passes, so a test
+# renamed out from under a serving gate would empty it silently. List
+# the tests of the gates' packages once and fail on any alternative of
+# their patterns that names none of them (-run matches unanchored, as
+# grep does).
+gate-patterns:
+	@list=$$($(GO) test -list . $(SERVE_PKGS)) || exit 1; \
+	status=0; \
+	for alt in $$(echo '$(SERVE_LOAD_RUN)|$(SERVE_COLD_RUN)|$(SERVE_ADAPTIVE_RUN)' | tr '|' ' '); do \
+		echo "$$list" | grep -v '^ok ' | grep -q -- "$$alt" || { \
+			echo "gate-patterns: -run alternative $$alt matches no test in $(SERVE_PKGS)" >&2; status=1; }; \
+	done; \
+	[ $$status = 0 ] && echo "gate-patterns: every serving-gate alternative matches a test"; \
+	exit $$status
 
 build:
 	$(GO) build ./...
@@ -148,18 +175,16 @@ lint-docs:
 # the race-instrumented run to a few hundred requests.
 serve-load:
 	$(GO) test -race -short -count=1 \
-		-run 'TestServiceLoadHarness|TestQueryLoadHarness|TestRunQueryLoad|TestSingleflight|TestAlphaRenamed|TestWaiterCancellation|TestLastCallerCancellation|TestSetStats|TestStatsSwap|TestQuery|TestInstallInstance' \
-		./internal/bench ./internal/service ./cmd/cnbd
+		-run '$(SERVE_LOAD_RUN)' $(SERVE_PKGS)
 
 # The CI two-tier serving gate: the E20 cold-shape replay (not -short —
 # the three cold backchases are the point) plus the tiering, detachment
 # and degenerate-percentile suites, all race-instrumented, and the
-# greedy planner package's full suite including the row-engine
-# differential.
+# greedy planner package's full suite including its differential check
+# against eval.
 serve-cold:
 	$(GO) test -race -count=1 \
-		-run 'TestE20ColdTiered|TestTiered|TestDetachedFlight|TestWarmShape|TestPercentile|TestTieredOptimizeEndToEnd' \
-		./internal/bench ./internal/service ./cmd/cnbd
+		-run '$(SERVE_COLD_RUN)' $(SERVE_PKGS)
 	$(GO) test -race -count=1 ./internal/greedy
 
 # The CI adaptive-promotion gate: the E21 replay (not -short — the cold
@@ -170,8 +195,7 @@ serve-cold:
 # order, all race-instrumented.
 serve-adaptive:
 	$(GO) test -race -count=1 \
-		-run 'TestE21Adaptive|TestPredictor|TestClassify|TestFastPlan|TestPredicted|TestSynchronousReason|TestHistogram|TestServiceHistograms|TestQueryHistograms|TestMetricsKeyOrder|TestOptimizeTierReason|TestMetricsHistResetOnScrape' \
-		./internal/bench ./internal/service ./cmd/cnbd
+		-run '$(SERVE_ADAPTIVE_RUN)' $(SERVE_PKGS)
 
 # End-to-end smoke of the cnbd server: start it, run the example client
 # (two optimize rounds — the second must be served from the plan cache —

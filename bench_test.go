@@ -339,14 +339,14 @@ func projDeptPlans() (p2, p3, p4 *core.Query) {
 
 func benchPlan(b *testing.B, q *core.Query, in *instance.Instance) {
 	b.Helper()
-	plan, err := engine.Compile(q, in)
+	plan, err := engine.CompileStream(q, in, engine.StreamOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Run(); err != nil {
+		if _, err := plan.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

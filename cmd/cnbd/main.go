@@ -478,6 +478,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			{"rows_emitted", qc.Rows},
 			{"evals", qc.Evals},
 			{"exec_errors", qc.ExecErrors},
+			{"plan_errors", qc.PlanErrors},
 		}})
 	}
 	writeJSON(w, orderedObj{

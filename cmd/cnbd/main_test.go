@@ -141,7 +141,7 @@ func TestQueryEndToEnd(t *testing.T) {
 		t.Fatalf("metrics: HTTP %d", status)
 	}
 	pd := metrics["instances"].(map[string]any)["pd"].(map[string]any)
-	if pd["queries"].(float64) != 2 || pd["exec_errors"].(float64) != 0 {
+	if pd["queries"].(float64) != 2 || pd["exec_errors"].(float64) != 0 || pd["plan_errors"].(float64) != 0 {
 		t.Fatalf("per-instance metrics: %v", pd)
 	}
 	if pd["evals"].(float64) <= 0 || pd["rows_emitted"].(float64) < 0 {

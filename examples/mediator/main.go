@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -117,7 +118,7 @@ func main() {
 	fmt.Printf("\nbest capability-respecting plan (est. cost %.1f):\n%s\n",
 		res.Best.Cost, res.Best.Query)
 
-	out, err := engine.Execute(res.Best.Query, in)
+	out, err := engine.StreamExecute(context.Background(), res.Best.Query, in, engine.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

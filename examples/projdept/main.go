@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 	fmt.Printf("\n=== best plan (est. cost %.1f) ===\n", res.Best.Cost)
 	fmt.Println(res.Best.Query)
 
-	got, err := engine.Execute(res.Best.Query, in)
+	got, err := engine.StreamExecute(context.Background(), res.Best.Query, in, engine.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -86,7 +87,7 @@ func main() {
 	fmt.Printf("\nbest plan (est. cost %.1f):\n%s\n", res.Best.Cost, res.Best.Query)
 
 	// 6. Execute the chosen plan.
-	out, err := engine.Execute(res.Best.Query, in)
+	out, err := engine.StreamExecute(context.Background(), res.Best.Query, in, engine.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

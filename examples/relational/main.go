@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func indexOnly() {
 		log.Fatal(err)
 	}
 	fmt.Printf("best plan (est. cost %.1f):\n%s\n\n", res.Best.Cost, res.Best.Query)
-	got, err := engine.Execute(res.Best.Query, in)
+	got, err := engine.StreamExecute(context.Background(), res.Best.Query, in, engine.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func viewIndex() {
 		fmt.Printf("  %d. cost %8.1f  uses %v\n", i+1, c.Cost, c.Query.SortedNames())
 	}
 	fmt.Printf("\nbest plan (est. cost %.1f):\n%s\n\n", res.Best.Cost, res.Best.Query)
-	got, err := engine.Execute(res.Best.Query, in)
+	got, err := engine.StreamExecute(context.Background(), res.Best.Query, in, engine.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,12 +28,6 @@ type e21Shape struct {
 	servedIn    time.Duration
 }
 
-// e21Budget clamps the adaptive plan-latency budget exactly like E20.
-const (
-	e21MinBudget = 2 * time.Millisecond
-	e21MaxBudget = 200 * time.Millisecond
-)
-
 // e21FastShapes builds the predicted-fast families: dependency-free
 // queries whose universal plan is the query itself, so the whole flight
 // is a chase no-op plus a one-or-two-state backchase.
@@ -123,42 +117,36 @@ func E21() (*Table, error) {
 
 	// Phase 0: synchronous sizing pass.
 	syncSvc := e21Service(0, nil)
-	var fastMax, slowMin time.Duration
-	slowMin = time.Duration(1<<63 - 1)
 	var syncCostTotal float64
-	for _, sh := range shapes {
-		t0 := time.Now()
+	sizing, err := replay(ctx, 1, shapes, func(ctx context.Context, sh *e21Shape) error {
 		resp, err := syncSvc.Optimize(ctx, sh.Req)
-		sh.syncLatency = time.Since(t0)
 		if err != nil {
-			return nil, fmt.Errorf("E21 %s: sync: %w", sh.Name, err)
+			return fmt.Errorf("%s: %w", sh.Name, err)
 		}
 		if resp.Tier != service.TierBackchase || resp.TierReason != service.ReasonSynchronous || resp.Result.Best == nil {
-			return nil, fmt.Errorf("E21 %s: sync response tier=%q reason=%q", sh.Name, resp.Tier, resp.TierReason)
+			return fmt.Errorf("%s: sync response tier=%q reason=%q", sh.Name, resp.Tier, resp.TierReason)
 		}
 		sh.syncCost = resp.Result.Best.Cost
 		syncCostTotal += sh.syncCost
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E21 sync: %w", err)
+	}
+	var fastMax, slowMin time.Duration
+	slowMin = time.Duration(1<<63 - 1)
+	for i, sh := range shapes {
+		sh.syncLatency = sizing.Latency[i]
 		if sh.Fast {
-			if sh.syncLatency > fastMax {
-				fastMax = sh.syncLatency
-			}
-		} else if sh.syncLatency < slowMin {
-			slowMin = sh.syncLatency
+			fastMax = max(fastMax, sh.syncLatency)
+		} else {
+			slowMin = min(slowMin, sh.syncLatency)
 		}
 	}
 	if fastMax*32 > slowMin {
 		return nil, fmt.Errorf("E21: fast/slow families not separated: fast max %v, slow min %v (need 32x)", fastMax, slowMin)
 	}
-	budget := slowMin / 20
-	if budget < e21MinBudget {
-		budget = e21MinBudget
-	}
-	if budget > e21MaxBudget {
-		budget = e21MaxBudget
-	}
-	if fastMax*8 > budget {
-		budget = fastMax * 8
-	}
+	budget := max(clampBudget(slowMin/20), fastMax*8)
 	if budget*4 > slowMin {
 		return nil, fmt.Errorf("E21: budget %v too close to slow min %v for deterministic routing", budget, slowMin)
 	}
@@ -185,24 +173,28 @@ func E21() (*Table, error) {
 	// shape is unknown, so every request must take the budgeted wait.
 	pred := service.NewLatencyPredictor(0)
 	train := e21Service(budget, pred)
-	for _, sh := range ordered {
+	_, err = replay(ctx, 1, ordered, func(ctx context.Context, sh *e21Shape) error {
 		resp, err := train.Optimize(ctx, sh.Req)
 		if err != nil {
-			return nil, fmt.Errorf("E21 %s: train: %w", sh.Name, err)
+			return fmt.Errorf("%s: %w", sh.Name, err)
 		}
 		if resp.TierReason != service.ReasonBudgeted {
-			return nil, fmt.Errorf("E21 %s: train reason=%q, want budgeted", sh.Name, resp.TierReason)
+			return fmt.Errorf("%s: train reason=%q, want budgeted", sh.Name, resp.TierReason)
 		}
 		wantTier := service.TierGreedy
 		if sh.Fast {
 			wantTier = service.TierBackchase
 		}
 		if resp.Tier != wantTier {
-			return nil, fmt.Errorf("E21 %s: train tier=%q, want %q (budget %v, sync latency %v)",
+			return fmt.Errorf("%s: train tier=%q, want %q (budget %v, sync latency %v)",
 				sh.Name, resp.Tier, wantTier, budget, sh.syncLatency)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E21 train: %w", err)
 	}
-	if err := e21WaitUpgrades(train, 3); err != nil {
+	if err := waitUpgrades(train, 3); err != nil {
 		return nil, fmt.Errorf("E21 train: %w", err)
 	}
 	tc := train.Counters()
@@ -214,26 +206,31 @@ func E21() (*Table, error) {
 	// adopts the trained predictor. Routing must be decided entirely by
 	// the learned latencies: no budgeted wait anywhere.
 	serve := e21Service(budget, pred)
-	var tieredLat []time.Duration
-	for _, sh := range ordered {
-		t0 := time.Now()
+	served, err := replay(ctx, 1, ordered, func(ctx context.Context, sh *e21Shape) error {
 		resp, err := serve.Optimize(ctx, sh.Req)
-		sh.servedIn = time.Since(t0)
 		if err != nil {
-			return nil, fmt.Errorf("E21 %s: serve: %w", sh.Name, err)
+			return fmt.Errorf("%s: %w", sh.Name, err)
 		}
+		reason, tier := service.ReasonPredictedSlow, service.TierGreedy
 		if sh.Fast {
-			if resp.TierReason != service.ReasonPredictedFast || resp.Tier != service.TierBackchase {
-				return nil, fmt.Errorf("E21 %s: serve reason=%q tier=%q, want predicted-fast/backchase", sh.Name, resp.TierReason, resp.Tier)
-			}
-		} else {
-			if resp.TierReason != service.ReasonPredictedSlow || resp.Tier != service.TierGreedy {
-				return nil, fmt.Errorf("E21 %s: serve reason=%q tier=%q, want predicted-slow/greedy", sh.Name, resp.TierReason, resp.Tier)
-			}
-			tieredLat = append(tieredLat, sh.servedIn)
+			reason, tier = service.ReasonPredictedFast, service.TierBackchase
+		}
+		if resp.TierReason != reason || resp.Tier != tier {
+			return fmt.Errorf("%s: serve reason=%q tier=%q, want %s/%s", sh.Name, resp.TierReason, resp.Tier, reason, tier)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E21 serve: %w", err)
+	}
+	var servedSlowMax time.Duration
+	for i, sh := range ordered {
+		sh.servedIn = served.Latency[i]
+		if !sh.Fast {
+			servedSlowMax = max(servedSlowMax, sh.servedIn)
 		}
 	}
-	if err := e21WaitUpgrades(serve, 3); err != nil {
+	if err := waitUpgrades(serve, 3); err != nil {
 		return nil, fmt.Errorf("E21 serve: %w", err)
 	}
 
@@ -241,22 +238,26 @@ func E21() (*Table, error) {
 	// families by EWMA, slow families by their upgraded cache entry) and
 	// serves the backchase tier from the plan cache.
 	var adaptiveCostTotal float64
-	for _, sh := range shapes {
+	_, err = replay(ctx, 1, shapes, func(ctx context.Context, sh *e21Shape) error {
 		resp, err := serve.Optimize(ctx, sh.Req)
 		if err != nil {
-			return nil, fmt.Errorf("E21 %s: converge: %w", sh.Name, err)
+			return fmt.Errorf("%s: %w", sh.Name, err)
 		}
 		if resp.TierReason != service.ReasonPredictedFast || resp.Tier != service.TierBackchase || !resp.CacheHit {
-			return nil, fmt.Errorf("E21 %s: converge reason=%q tier=%q cacheHit=%v, want predicted-fast/backchase/true",
+			return fmt.Errorf("%s: converge reason=%q tier=%q cacheHit=%v, want predicted-fast/backchase/true",
 				sh.Name, resp.TierReason, resp.Tier, resp.CacheHit)
 		}
 		if !sh.Fast && !resp.Upgraded {
-			return nil, fmt.Errorf("E21 %s: converge response not marked Upgraded", sh.Name)
+			return fmt.Errorf("%s: converge response not marked Upgraded", sh.Name)
 		}
 		if resp.Result.Best == nil || resp.Result.Best.Cost != sh.syncCost {
-			return nil, fmt.Errorf("E21 %s: converge cost %v != synchronous cheapest %v", sh.Name, resp.Result.Best, sh.syncCost)
+			return fmt.Errorf("%s: converge cost %v != synchronous cheapest %v", sh.Name, resp.Result.Best, sh.syncCost)
 		}
 		adaptiveCostTotal += resp.Result.Best.Cost
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E21 converge: %w", err)
 	}
 
 	// The serve-pass counters and histograms are fully determined by the
@@ -274,7 +275,6 @@ func E21() (*Table, error) {
 		return nil, fmt.Errorf("E21: histogram bucket sum %d != %d served requests", sum, sc.Requests)
 	}
 
-	sortDurations(tieredLat)
 	tb := &Table{
 		ID:      "E21",
 		Title:   "Adaptive tier promotion: learned per-shape budgets route without waits",
@@ -300,11 +300,11 @@ func E21() (*Table, error) {
 			"budget_ms":                     float64(budget) / float64(time.Millisecond),
 			"sync_fast_max_ms":              float64(fastMax) / float64(time.Millisecond),
 			"sync_slow_min_ms":              float64(slowMin) / float64(time.Millisecond),
-			"served_slow_max_ms":            float64(percentile(tieredLat, 1.0)) / float64(time.Millisecond),
+			"served_slow_max_ms":            float64(servedSlowMax) / float64(time.Millisecond),
 		},
 		Notes: []string{
 			fmt.Sprintf("adaptive budget %v (slow min / 20 clamped to [%v, %v], >= 8x fast max %v)",
-				budget.Round(time.Microsecond), e21MinBudget, e21MaxBudget, fastMax.Round(time.Microsecond)),
+				budget.Round(time.Microsecond), minBudget, maxBudget, fastMax.Round(time.Microsecond)),
 			"serve pass: zero budgeted waits — fast shapes synchronous, slow shapes greedy with no timer",
 		},
 	}
@@ -326,19 +326,6 @@ func E21() (*Table, error) {
 		})
 	}
 	return tb, nil
-}
-
-// e21WaitUpgrades blocks until the service has counted want detached
-// upgrades (the nightly-sized slow shapes can take a while to land).
-func e21WaitUpgrades(svc *service.Service, want int64) error {
-	deadline := time.Now().Add(2 * time.Minute)
-	for svc.Counters().Upgraded < want && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := svc.Counters().Upgraded; got < want {
-		return fmt.Errorf("only %d/%d detached flights upgraded within deadline", got, want)
-	}
-	return nil
 }
 
 // e21Buckets exports a histogram's non-empty buckets as informational

@@ -1,5 +1,5 @@
-// Measured-cost calibration: execute candidate plans through the
-// pull-based engine operators and put the measured work profile next to
+// Measured-cost calibration: execute candidate plans on the streaming
+// engine (unbuffered, on the caller's goroutine) and put the measured work profile next to
 // the cost model's estimate. This closes the loop the cost-bounded
 // backchase depends on — pruning is only as trustworthy as the estimates
 // backing the bound, so E14 and the randomized calibration suite check
@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -85,12 +86,12 @@ func CalibratePlans(stats *cost.Stats, plans []*core.Query, in *instance.Instanc
 	for i, p := range plans {
 		exec := stats.Reorder(planrewrite.SimplifyLookups(p))
 		est, _ := stats.Estimate(exec)
-		plan, err := engine.Compile(exec, in)
+		plan, err := engine.CompileStream(exec, in, engine.StreamOptions{})
 		if err != nil {
 			return nil, 0, fmt.Errorf("calibrate plan %d: %w", i, err)
 		}
 		start := time.Now()
-		res, err := plan.Run()
+		res, err := plan.Run(context.TODO())
 		if err != nil {
 			var lookupErr *eval.ErrLookupFailed
 			if errors.As(err, &lookupErr) {
@@ -137,11 +138,11 @@ func DeliveredMeasured(stats *cost.Stats, pool []*core.Query, in *instance.Insta
 		return cands[i].sig < cands[j].sig
 	})
 	for _, c := range cands {
-		plan, err := engine.Compile(c.exec, in)
+		plan, err := engine.CompileStream(c.exec, in, engine.StreamOptions{})
 		if err != nil {
 			return 0, fmt.Errorf("delivered plan: %w", err)
 		}
-		if _, err := plan.Run(); err != nil {
+		if _, err := plan.Run(context.TODO()); err != nil {
 			var lookupErr *eval.ErrLookupFailed
 			if errors.As(err, &lookupErr) {
 				continue

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"cnb/internal/engine"
 	"cnb/internal/service"
 	"cnb/internal/workload"
 )
@@ -21,25 +20,14 @@ type e20Shape struct {
 	Star *workload.Star
 	Req  service.Request
 
-	syncLatency   time.Duration
-	syncCost      float64
-	tieredLatency time.Duration
-	upgradedCost  float64
-	checkRows     int
+	syncCost     float64
+	upgradedCost float64
+	checkRows    int
 }
 
-// e20Budget bounds the adaptive plan-latency budget: never below the
-// warm-path latency (a cache-hit flight is ~1ms — a budget under it
-// would push even warm shapes to the greedy tier), never above 200ms
-// (past that the "instant" tier isn't).
-const (
-	e20MinBudget = 2 * time.Millisecond
-	e20MaxBudget = 200 * time.Millisecond
-)
-
-// e20Gen is the differential-check instance size: small enough that the
-// row engine evaluates the ORIGINAL query (no helpful access paths, so
-// nested scans) in well under a second per shape, fixed seed so the
+// e20Gen is the differential-check instance size: small enough that eval
+// evaluates the ORIGINAL query (no helpful access paths, so nested
+// scans) in well under a second per shape, fixed seed so the
 // greedy_check_rows gate is exact.
 var e20Gen = workload.StarGenOptions{NumFact: 1500, NumDim: 300, NumSub: 200, DomA: 50, Seed: 2025}
 
@@ -75,7 +63,8 @@ func e20Service(budget time.Duration) *service.Service {
 }
 
 // E20 measures cold-shape serving with and without the two-tier path and
-// proves the tiering contract end to end:
+// proves the tiering contract end to end. Every phase is a serial replay
+// of the shapes, its per-response checks in the replay hook:
 //
 //  1. synchronous pass — every shape cold on a fresh synchronous
 //     service; per-shape plan latency and cheapest cost are the
@@ -85,9 +74,8 @@ func e20Service(budget time.Duration) *service.Service {
 //  2. tiered pass — every shape cold on a fresh service with the budget:
 //     each response MUST come from the greedy tier, and each greedy plan
 //     is differentially checked through the full /query execution path
-//     (streaming engine) against the row engine's evaluation of the
-//     original query on a seeded instance — row-identical or the
-//     experiment fails.
+//     (streaming engine) against eval's evaluation of the original query
+//     on a seeded instance — row-identical or the experiment fails.
 //  3. upgrade pass — after the detached flights land (counted by the
 //     exact-gated upgraded_flights), every shape is re-requested: the
 //     response must be a backchase-tier cache hit marked Upgraded with
@@ -114,124 +102,108 @@ func E20() (*Table, error) {
 
 	// Phase 1: synchronous cold pass.
 	syncSvc := e20Service(0)
-	syncLat := make([]time.Duration, 0, len(shapes))
 	var syncCostTotal float64
-	for _, sh := range shapes {
-		t0 := time.Now()
+	syncRun, err := replay(ctx, 1, shapes, func(ctx context.Context, sh *e20Shape) error {
 		resp, err := syncSvc.Optimize(ctx, sh.Req)
-		sh.syncLatency = time.Since(t0)
 		if err != nil {
-			return nil, fmt.Errorf("E20 %s: sync: %w", sh.Name, err)
+			return fmt.Errorf("%s: %w", sh.Name, err)
 		}
 		if resp.Tier != service.TierBackchase || resp.Result.Best == nil {
-			return nil, fmt.Errorf("E20 %s: sync response tier=%q", sh.Name, resp.Tier)
+			return fmt.Errorf("%s: sync response tier=%q", sh.Name, resp.Tier)
 		}
 		sh.syncCost = resp.Result.Best.Cost
 		syncCostTotal += sh.syncCost
-		syncLat = append(syncLat, sh.syncLatency)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E20 sync: %w", err)
 	}
-	sortDurations(syncLat)
-	syncP99 := percentile(syncLat, 0.99)
-
-	budget := syncP99 / 20
-	if budget < e20MinBudget {
-		budget = e20MinBudget
-	}
-	if budget > e20MaxBudget {
-		budget = e20MaxBudget
-	}
+	syncP99 := syncRun.percentile(0.99)
+	budget := clampBudget(syncP99 / 20)
 
 	// Phase 2: tiered cold pass on a fresh service.
 	svc := e20Service(budget)
-	tierLat := make([]time.Duration, 0, len(shapes))
-	for _, sh := range shapes {
-		t0 := time.Now()
+	tiered, err := replay(ctx, 1, shapes, func(ctx context.Context, sh *e20Shape) error {
 		resp, err := svc.Optimize(ctx, sh.Req)
-		sh.tieredLatency = time.Since(t0)
 		if err != nil {
-			return nil, fmt.Errorf("E20 %s: tiered: %w", sh.Name, err)
+			return fmt.Errorf("%s: %w", sh.Name, err)
 		}
 		if resp.Tier != service.TierGreedy {
-			return nil, fmt.Errorf("E20 %s: cold tiered response tier=%q, want greedy (budget %v, flight landed in %v?)",
-				sh.Name, resp.Tier, budget, sh.tieredLatency)
+			return fmt.Errorf("%s: cold tiered response tier=%q, want greedy (budget %v)", sh.Name, resp.Tier, budget)
 		}
-		tierLat = append(tierLat, sh.tieredLatency)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E20 tiered: %w", err)
 	}
-	sortDurations(tierLat)
-	tieredP99 := percentile(tierLat, 0.99)
+	tieredP99 := tiered.percentile(0.99)
 
 	// Differential check, on a scratch tiered service where every request
 	// is cold and therefore guaranteed greedy-tier: serve each shape
 	// through the full /query path (greedy plan on the streaming engine)
-	// and compare against the row engine's evaluation of the original
-	// query on the same seeded instance.
+	// and compare against eval's evaluation of the original query on the
+	// same seeded instance.
 	scratch := e20Service(budget)
 	var checkRows int
-	for i, sh := range shapes {
-		inst := fmt.Sprintf("star%d", i)
-		if _, err := scratch.InstallInstance(inst, sh.Star.Generate(e20Gen)); err != nil {
-			return nil, fmt.Errorf("E20 %s: install: %w", sh.Name, err)
+	_, err = replay(ctx, 1, shapes, func(ctx context.Context, sh *e20Shape) error {
+		in := sh.Star.Generate(e20Gen)
+		if _, err := scratch.InstallInstance(sh.Name, in); err != nil {
+			return fmt.Errorf("%s: install: %w", sh.Name, err)
 		}
-		got, err := scratch.Query(ctx, service.QueryRequest{Request: sh.Req, Instance: inst, MaxRows: -1})
+		got, err := scratch.Query(ctx, service.QueryRequest{Request: sh.Req, Instance: sh.Name, MaxRows: -1})
 		if err != nil {
-			return nil, fmt.Errorf("E20 %s: query: %w", sh.Name, err)
+			return fmt.Errorf("%s: query: %w", sh.Name, err)
 		}
 		if got.Optimize == nil || got.Optimize.Tier != service.TierGreedy {
-			return nil, fmt.Errorf("E20 %s: differential request was not served by the greedy tier", sh.Name)
+			return fmt.Errorf("%s: differential request was not served by the greedy tier", sh.Name)
 		}
-		want, err := engine.Execute(sh.Req.Query, sh.Star.Generate(e20Gen))
-		if err != nil {
-			return nil, fmt.Errorf("E20 %s: row engine: %w", sh.Name, err)
+		if sh.checkRows, err = checkServed(got, sh.Req.Query, in); err != nil {
+			return fmt.Errorf("%s: %w", sh.Name, err)
 		}
-		if got.ResultRows != want.Len() || len(got.Rows) != want.Len() {
-			return nil, fmt.Errorf("E20 %s: served %d rows, row engine %d", sh.Name, got.ResultRows, want.Len())
-		}
-		for _, v := range got.Rows {
-			if !want.Contains(v) {
-				return nil, fmt.Errorf("E20 %s: served row %s not in row-engine result", sh.Name, v)
-			}
-		}
-		sh.checkRows = want.Len()
 		checkRows += sh.checkRows
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E20 differential: %w", err)
 	}
 
 	// Wait for every detached flight to land and upgrade its entry, then
 	// snapshot the gated counters BEFORE phase 3: phase-3 retries (a warm
 	// flight exceeding the budget under heavy instrumentation) may serve
 	// extra greedy responses, which must not perturb the exact gates.
-	deadline := time.Now().Add(2 * time.Minute)
-	for svc.Counters().Upgraded < int64(len(shapes)) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if err := waitUpgrades(svc, int64(len(shapes))); err != nil {
+		return nil, fmt.Errorf("E20: %w", err)
 	}
 	counters := svc.Counters()
-	if counters.Upgraded < int64(len(shapes)) {
-		return nil, fmt.Errorf("E20: only %d/%d detached flights upgraded within deadline", counters.Upgraded, len(shapes))
-	}
 
 	// Phase 3: upgraded entries serve the synchronous cheapest cost.
 	var upgradedCostTotal float64
-	for _, sh := range shapes {
+	_, err = replay(ctx, 1, shapes, func(ctx context.Context, sh *e20Shape) error {
 		var resp *service.Response
 		for attempt := 0; ; attempt++ {
-			resp, err = svc.Optimize(ctx, sh.Req)
-			if err != nil {
-				return nil, fmt.Errorf("E20 %s: upgraded: %w", sh.Name, err)
+			var err error
+			if resp, err = svc.Optimize(ctx, sh.Req); err != nil {
+				return fmt.Errorf("%s: %w", sh.Name, err)
 			}
 			if resp.Tier == service.TierBackchase {
 				break
 			}
 			if attempt >= 10 {
-				return nil, fmt.Errorf("E20 %s: warm request still greedy-tier after %d attempts", sh.Name, attempt+1)
+				return fmt.Errorf("%s: warm request still greedy-tier after %d attempts", sh.Name, attempt+1)
 			}
 		}
 		if !resp.CacheHit || !resp.Upgraded {
-			return nil, fmt.Errorf("E20 %s: upgraded response cacheHit=%v upgraded=%v, want true/true", sh.Name, resp.CacheHit, resp.Upgraded)
+			return fmt.Errorf("%s: upgraded response cacheHit=%v upgraded=%v, want true/true", sh.Name, resp.CacheHit, resp.Upgraded)
 		}
 		if resp.Result.Best == nil || resp.Result.Best.Cost != sh.syncCost {
-			return nil, fmt.Errorf("E20 %s: upgraded cost %v != synchronous cheapest %v", sh.Name, resp.Result.Best, sh.syncCost)
+			return fmt.Errorf("%s: upgraded cost %v != synchronous cheapest %v", sh.Name, resp.Result.Best, sh.syncCost)
 		}
 		sh.upgradedCost = resp.Result.Best.Cost
 		upgradedCostTotal += sh.upgradedCost
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("E20 upgraded: %w", err)
 	}
 
 	speedup := float64(syncP99) / float64(tieredP99)
@@ -256,28 +228,19 @@ func E20() (*Table, error) {
 			"cold_speedup":                 speedup,
 		},
 		Notes: []string{
-			fmt.Sprintf("adaptive budget %v (sync p99 / 20, clamped to [%v, %v])", budget.Round(time.Millisecond), e20MinBudget, e20MaxBudget),
-			fmt.Sprintf("cold p99 %v -> %v (%.0fx) with every greedy plan row-identical to the row engine", syncP99.Round(time.Millisecond), tieredP99.Round(time.Millisecond), speedup),
+			fmt.Sprintf("adaptive budget %v (sync p99 / 20, clamped to [%v, %v])", budget.Round(time.Millisecond), minBudget, maxBudget),
+			fmt.Sprintf("cold p99 %v -> %v (%.0fx) with every greedy plan row-identical to eval", syncP99.Round(time.Millisecond), tieredP99.Round(time.Millisecond), speedup),
 		},
 	}
-	for _, sh := range shapes {
+	for i, sh := range shapes {
 		tb.Rows = append(tb.Rows, []string{
 			sh.Name,
-			sh.syncLatency.Round(time.Millisecond).String(),
-			sh.tieredLatency.Round(time.Millisecond).String(),
+			syncRun.Latency[i].Round(time.Millisecond).String(),
+			tiered.Latency[i].Round(time.Millisecond).String(),
 			fmt.Sprintf("%d", sh.checkRows),
 			fmt.Sprintf("%.1f", sh.syncCost),
 			fmt.Sprintf("%.1f", sh.upgradedCost),
 		})
 	}
 	return tb, nil
-}
-
-// sortDurations sorts in place ascending (the shape percentile expects).
-func sortDurations(d []time.Duration) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }

@@ -5,7 +5,7 @@ import "testing"
 // TestE20ColdTiered is the serve-cold gate: the experiment itself
 // hard-fails on any broken tiering invariant — a cold tiered response
 // not served by the greedy tier, a greedy plan that is not row-identical
-// to the row engine, detached flights failing to upgrade, an upgraded
+// to eval, detached flights failing to upgrade, an upgraded
 // entry serving anything but the synchronous cheapest cost, or a
 // cold-shape p99 improvement under 10x — so the test only needs to run
 // it and sanity-check the exact counters the baseline gates.

@@ -1,75 +1,17 @@
-// Load harness for the serving layer: closed-loop workers replay a mix
-// of query shapes against one internal/service.Service, measuring
-// throughput, latency percentiles and cache effectiveness. E16 runs it at
-// 1/4/16 workers; the CI service-load job runs it under the race
-// detector.
+// E16/E17: plan-only serving under load — the replay mixes, and the
+// RunLoad replay at 1/4/16 workers measuring throughput, latency
+// percentiles and cache effectiveness. The CI service-load job runs the
+// harness under the race detector.
 package bench
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"cnb/internal/backchase"
 	"cnb/internal/core"
 	"cnb/internal/service"
 	"cnb/internal/workload"
 )
-
-// LoadQuery is one shape of the replay mix.
-type LoadQuery struct {
-	Name string
-	Req  service.Request
-}
-
-// LoadConfig sizes a load run.
-type LoadConfig struct {
-	// Workers is the closed-loop client count: each worker issues its
-	// next request as soon as the previous one returns.
-	Workers int
-	// Requests is the total request count across all workers.
-	Requests int
-	// AlphaRate is the fraction of requests issued as alpha-renamed
-	// variants of their shape (a fresh uniform variable-name prefix per
-	// request — an order-preserving rename, the kind client-side query
-	// generators emit). The serving layer keys flights and cache entries
-	// by the canonical signature, which renames normalize away, so these
-	// must coalesce and hit exactly like verbatim repeats.
-	AlphaRate float64
-	// AlphaShuffle hardens the alpha renames: instead of an
-	// order-preserving prefix rename, each renamed request draws a random
-	// permutation of the variable-name order (reversals included), the
-	// adversarial case for canonicalization — a tie-break on raw variable
-	// names canonicalizes such variants apart. With a truly
-	// renaming-invariant canonical form (core.Query.CanonicalSignature)
-	// shuffled renames must coalesce and hit exactly like verbatim
-	// repeats; E17 gates exactly that.
-	AlphaShuffle bool
-	// Seed makes the request schedule (shape choice and renames)
-	// deterministic; at Workers=1 the service counters are then exact,
-	// which is what lets cmd/benchcheck gate them.
-	Seed int64
-}
-
-// LoadResult is the outcome of one load run.
-type LoadResult struct {
-	Requests   int
-	Errors     int
-	Wall       time.Duration
-	Throughput float64 // requests per second
-	P50, P99   time.Duration
-	// Service and Cache snapshot the service's counters after the run
-	// (the service must be fresh for them to describe this run alone).
-	Service service.Counters
-	Cache   backchase.CacheCounters
-	// HitRate is Cache.Hits / (Cache.Hits + Cache.Misses).
-	HitRate float64
-}
 
 // ServeMix returns the E16 replay mix: the three E13 star/snowflake
 // scenarios, optimized against their own dependency sets. No statistics
@@ -119,157 +61,6 @@ func SmallServeMix() ([]LoadQuery, error) {
 		PhysicalNames: pd.Physical.NameSet(),
 	}})
 	return mix, nil
-}
-
-// buildSchedule renders the deterministic request sequence: request i
-// picks a shape and, at the alpha rate, an alpha-renamed copy with
-// request-unique variable names (order-preserving by default,
-// order-shuffling when cfg.AlphaShuffle is set).
-func buildSchedule(mix []LoadQuery, cfg LoadConfig) []service.Request {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	schedule := make([]service.Request, cfg.Requests)
-	for i := range schedule {
-		shape := mix[rng.Intn(len(mix))]
-		req := shape.Req
-		if rng.Float64() < cfg.AlphaRate {
-			prefix := fmt.Sprintf("ld%d_", i)
-			if cfg.AlphaShuffle {
-				req.Query = shuffleRename(req.Query, prefix, rng)
-			} else {
-				req.Query = req.Query.RenameVars(func(v string) string { return prefix + v })
-			}
-		}
-		schedule[i] = req
-	}
-	return schedule
-}
-
-// shuffleRename alpha-renames the query so that the lexicographic order
-// of its variable names is a random permutation of the original order:
-// sorted original variables v_0 < v_1 < ... map to zero-padded fresh
-// names whose sorted order realizes perm. The identity permutation is
-// explicitly skipped (when more than one variable exists), so every
-// shuffled rename genuinely reorders at least one name pair — the case a
-// raw-name canonicalization tie-break gets wrong.
-func shuffleRename(q *core.Query, prefix string, rng *rand.Rand) *core.Query {
-	vars := make([]string, 0, len(q.Bindings))
-	for _, b := range q.Bindings {
-		vars = append(vars, b.Var)
-	}
-	sort.Strings(vars)
-	perm := rng.Perm(len(vars))
-	if len(vars) > 1 {
-		for identity(perm) {
-			perm = rng.Perm(len(vars))
-		}
-	}
-	names := make(map[string]string, len(vars))
-	for j, v := range vars {
-		names[v] = fmt.Sprintf("%s%04d", prefix, perm[j])
-	}
-	return q.RenameVars(func(v string) string { return names[v] })
-}
-
-func identity(perm []int) bool {
-	for i, p := range perm {
-		if i != p {
-			return false
-		}
-	}
-	return true
-}
-
-// RunLoad replays the mix against the service with cfg.Workers closed-loop
-// clients and returns the measured result. Any request error aborts
-// nothing — the remaining requests still run, so one failure cannot mask
-// others — but the first error is returned alongside the result, and
-// LoadResult.Errors counts them all.
-func RunLoad(ctx context.Context, svc *service.Service, mix []LoadQuery, cfg LoadConfig) (*LoadResult, error) {
-	if len(mix) == 0 {
-		return nil, fmt.Errorf("loadgen: empty mix")
-	}
-	if cfg.Workers < 1 || cfg.Requests < 1 {
-		return nil, fmt.Errorf("loadgen: need at least 1 worker and 1 request")
-	}
-	schedule := buildSchedule(mix, cfg)
-	latencies := make([]time.Duration, len(schedule))
-	var (
-		next     atomic.Int64
-		errCount atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(schedule) {
-					return
-				}
-				t0 := time.Now()
-				_, err := svc.Optimize(ctx, schedule[i])
-				latencies[i] = time.Since(t0)
-				if err != nil {
-					errCount.Add(1)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("request %d: %w", i, err)
-					}
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	sorted := append([]time.Duration(nil), latencies...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	res := &LoadResult{
-		Requests:   len(schedule),
-		Errors:     int(errCount.Load()),
-		Wall:       wall,
-		Throughput: float64(len(schedule)) / wall.Seconds(),
-		P50:        percentile(sorted, 0.50),
-		P99:        percentile(sorted, 0.99),
-		Service:    svc.Counters(),
-		Cache:      svc.CacheCounters(),
-	}
-	if total := res.Cache.Hits + res.Cache.Misses; total > 0 {
-		res.HitRate = float64(res.Cache.Hits) / float64(total)
-	}
-	return res, firstErr
-}
-
-// percentile reads the p-quantile (0..1) of an ascending-sorted slice
-// using the nearest-rank method: rank = ceil(p * n). Degenerate windows
-// are answered, never panicked on: an empty window reports 0 (a
-// zero-request replay bucket has no latency, not a garbage one), a
-// single-sample window reports its sample for every p, and p outside
-// [0, 1] — including NaN, whose int conversion is platform-defined —
-// clamps to the window's min/max rather than indexing out of range.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if math.IsNaN(p) || p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // E16 measures the serving layer under concurrent load: closed-loop
@@ -369,7 +160,7 @@ func serveLoadTable(id, title string, mix []LoadQuery, cfg LoadConfig) (*Table, 
 	tb := &Table{
 		ID:      id,
 		Title:   title,
-		Columns: []string{"workers", "requests", "errors", "wall", "req/s", "p50", "p99", "hits", "misses", "hit rate", "coalesced", "backchase runs"},
+		Columns: loadColumns("hits", "misses", "hit rate", "coalesced", "backchase runs"),
 		Metrics: map[string]float64{},
 	}
 	const requests = 160
@@ -386,29 +177,12 @@ func serveLoadTable(id, title string, mix []LoadQuery, cfg LoadConfig) (*Table, 
 		if err != nil {
 			return nil, fmt.Errorf("%s workers=%d: %w", id, workers, err)
 		}
-		tb.Rows = append(tb.Rows, []string{
-			fmt.Sprintf("%d", workers),
-			fmt.Sprintf("%d", res.Requests),
-			fmt.Sprintf("%d", res.Errors),
-			res.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1f", res.Throughput),
-			res.P50.Round(time.Microsecond).String(),
-			res.P99.Round(time.Millisecond).String(),
+		res.record(tb, workers,
 			fmt.Sprintf("%d", res.Cache.Hits),
 			fmt.Sprintf("%d", res.Cache.Misses),
 			fmt.Sprintf("%.2f", res.HitRate),
 			fmt.Sprintf("%d", res.Service.Coalesced),
-			fmt.Sprintf("%d", res.Service.BackchaseRuns),
-		})
-		if workers == 1 {
-			// Deterministic pass: gated exactly by cmd/benchcheck.
-			tb.Metrics["cache_hits"] = float64(res.Cache.Hits)
-			tb.Metrics["cache_misses"] = float64(res.Cache.Misses)
-			tb.Metrics["backchase_runs"] = float64(res.Service.BackchaseRuns)
-			tb.Metrics["hit_rate"] = res.HitRate
-		}
-		tb.Metrics[fmt.Sprintf("throughput_w%d", workers)] = res.Throughput
-		tb.Metrics[fmt.Sprintf("p99_w%d_ms", workers)] = float64(res.P99.Milliseconds())
+			fmt.Sprintf("%d", res.Service.BackchaseRuns))
 	}
 	renames := "order-preserving"
 	if cfg.AlphaShuffle {

@@ -18,8 +18,8 @@ const DefaultBatchSize = 1024
 // Batch is a columnar slice of intermediate rows flowing between
 // streaming operators: one column per bound query variable, all columns
 // the same length. Operators append whole columns instead of cloning
-// per-row environment maps, which is what makes the streaming engine
-// cheaper than the row-at-a-time reference operators on large inputs.
+// per-row environment maps, which is what makes the engine cheaper than
+// environment-at-a-time evaluation (package eval) on large inputs.
 //
 // A Batch is owned by the operator that produced it: consumers must not
 // retain it (or any column slice) across calls to Next, because producers
@@ -106,23 +106,12 @@ func (b *Batch) copyRow(src *Batch, i int) {
 	}
 }
 
-// env materializes row i as an evaluation environment — only needed on
-// the row-at-a-time interop paths (error messages, debugging); the hot
-// paths evaluate terms directly against the columns via batchEval.
-func (b *Batch) env(i int) eval.Env {
-	env := make(eval.Env, len(b.schema.vars))
-	for j, v := range b.schema.vars {
-		env[v] = b.cols[j][i]
-	}
-	return env
-}
-
 // batchEval evaluates a path term against row i of the batch without
 // materializing an environment map: variables resolve to column entries,
 // everything else mirrors eval.Term exactly — including returning
 // *eval.ErrLookupFailed for a failing lookup on an absent key, so callers
-// (and the calibration harness) can classify execution errors the same
-// way for both engines.
+// (Service.Query and the calibration harness) can classify
+// non-executable plans the same way eval does.
 func batchEval(t *core.Term, b *Batch, i int, in *instance.Instance) (instance.Value, error) {
 	switch t.Kind {
 	case core.KVar:

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"cnb/internal/core"
+	"cnb/internal/eval"
 	"cnb/internal/instance"
 )
 
@@ -45,23 +48,26 @@ func TestEmptyLookupMidChain(t *testing.T) {
 			{Var: "h", Range: core.LkNF(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
 		},
 	}
-	got, err := Execute(q, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only r.K=1 reaches a non-empty HOP bucket: rows 100 and 101.
-	if got.Len() != 2 {
-		t.Fatalf("got %d rows, want 2: %s", got.Len(), got)
-	}
-	for _, want := range []int64{100, 101} {
-		if !got.Contains(instance.Int(want)) {
-			t.Errorf("missing output %d in %s", want, got)
+	for vi, opts := range streamVariants() {
+		got, err := StreamExecute(context.Background(), q, in, opts)
+		if err != nil {
+			t.Fatalf("variant %d: %v", vi, err)
+		}
+		// Only r.K=1 reaches a non-empty HOP bucket: rows 100 and 101.
+		if got.Len() != 2 {
+			t.Fatalf("variant %d: got %d rows, want 2: %s", vi, got.Len(), got)
+		}
+		for _, want := range []int64{100, 101} {
+			if !got.Contains(instance.Int(want)) {
+				t.Errorf("variant %d: missing output %d in %s", vi, want, got)
+			}
 		}
 	}
 }
 
 // TestEmptyLookupAtChainHead: a non-failing lookup over an empty bucket
-// as the outermost binding terminates immediately with an empty result.
+// or an absent key as the outermost binding terminates immediately with
+// an empty result.
 func TestEmptyLookupAtChainHead(t *testing.T) {
 	in := chainInstance()
 	for _, key := range []string{"empty", "absent"} {
@@ -71,41 +77,62 @@ func TestEmptyLookupAtChainHead(t *testing.T) {
 				{Var: "r", Range: core.LkNF(core.Name("IDX"), core.C(key))},
 			},
 		}
-		got, err := Execute(q, in)
-		if err != nil {
-			t.Fatalf("key %q: %v", key, err)
-		}
-		if got.Len() != 0 {
-			t.Errorf("key %q: got %d rows, want 0", key, got.Len())
+		for vi, opts := range streamVariants() {
+			got, err := StreamExecute(context.Background(), q, in, opts)
+			if err != nil {
+				t.Fatalf("key %q variant %d: %v", key, vi, err)
+			}
+			if got.Len() != 0 {
+				t.Errorf("key %q variant %d: got %d rows, want 0", key, vi, got.Len())
+			}
 		}
 	}
 }
 
 // TestFailingLookupMidChainErrors: the failing form M[k] must surface
-// ErrLookupFailed when an outer row's key is absent, rather than skipping
-// the row (the guarded dom-loop is the only sound way to iterate it).
+// *eval.ErrLookupFailed when an outer row's key is absent, rather than
+// skipping the row (the guarded dom-loop is the only sound way to iterate
+// it) — whether the lookup is a binding range mid-chain or sits in the
+// output projection. Calibration's and Query's skip rule depend on the
+// typed error.
 func TestFailingLookupMidChainErrors(t *testing.T) {
 	in := chainInstance()
-	q := &core.Query{
-		Out: core.Prj(core.V("h"), "B"),
-		Bindings: []core.Binding{
-			{Var: "r", Range: core.LkNF(core.Name("IDX"), core.C("hit"))},
-			{Var: "h", Range: core.Lk(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
+	queries := []*core.Query{
+		{ // failing lookup as a mid-chain binding range
+			Out: core.Prj(core.V("h"), "B"),
+			Bindings: []core.Binding{
+				{Var: "r", Range: core.LkNF(core.Name("IDX"), core.C("hit"))},
+				{Var: "h", Range: core.Lk(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
+			},
+		},
+		{ // failing lookup in the projection
+			Out: core.Lk(core.Name("HOP"), core.Prj(core.V("r"), "K")),
+			Bindings: []core.Binding{
+				{Var: "r", Range: core.LkNF(core.Name("IDX"), core.C("hit"))},
+			},
 		},
 	}
-	if _, err := Execute(q, in); err == nil {
-		t.Fatal("failing lookup over a missing key must error")
+	for qi, q := range queries {
+		if _, err := eval.QueryEager(q, in); err == nil {
+			t.Fatalf("q%d: eval should fail on the missing HOP key", qi)
+		}
+		for vi, opts := range streamVariants() {
+			_, err := StreamExecute(context.Background(), q, in, opts)
+			var lf *eval.ErrLookupFailed
+			if !errors.As(err, &lf) {
+				t.Fatalf("q%d variant %d: want ErrLookupFailed, got %v", qi, vi, err)
+			}
+		}
 	}
 }
 
 // TestRunRepeatsAfterReOpen: Run re-Opens the operator tree, so a second
-// Run of the same Plan yields an equal (deduplicated) result and a fresh
-// Measure — no state leaks across executions.
+// Run of the same StreamPlan yields an equal (deduplicated) result and a
+// fresh Measure — no state leaks across executions, buffered or not.
 func TestRunRepeatsAfterReOpen(t *testing.T) {
 	in := chainInstance()
-	// The projection collapses rows 100 and 101 onto their duplicate
-	// bucket membership — plus a self-join that produces duplicate output
-	// rows to exercise set deduplication.
+	// A self-join that produces duplicate output rows to exercise set
+	// deduplication.
 	q := &core.Query{
 		Out: core.Prj(core.V("a"), "A"),
 		Bindings: []core.Binding{
@@ -113,38 +140,40 @@ func TestRunRepeatsAfterReOpen(t *testing.T) {
 			{Var: "b", Range: core.LkNF(core.Name("IDX"), core.C("hit"))},
 		},
 	}
-	p, err := Compile(q, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1 := p.Measure()
-	second, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := p.Measure()
-	if !first.Equal(second) {
-		t.Errorf("re-Open changed the result: %s vs %s", first, second)
-	}
-	// 3x3 join rows dedup to 3 distinct outputs.
-	if first.Len() != 3 {
-		t.Errorf("got %d distinct rows, want 3", first.Len())
-	}
-	if m1 != m2 {
-		t.Errorf("re-Open did not reset counters: %+v vs %+v", m1, m2)
-	}
-	if m1.OutRows != 9 {
-		t.Errorf("OutRows = %d, want 9 pre-dedup join rows", m1.OutRows)
+	for vi, opts := range streamVariants() {
+		p, err := CompileStream(q, in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m1 := p.Measure()
+		second, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2 := p.Measure()
+		if !first.Equal(second) {
+			t.Errorf("variant %d: re-Open changed the result: %s vs %s", vi, first, second)
+		}
+		// 3x3 join rows dedup to 3 distinct outputs.
+		if first.Len() != 3 {
+			t.Errorf("variant %d: got %d distinct rows, want 3", vi, first.Len())
+		}
+		if m1 != m2 {
+			t.Errorf("variant %d: re-Open did not reset counters: %+v vs %+v", vi, m1, m2)
+		}
+		if m1.OutRows != 9 {
+			t.Errorf("variant %d: OutRows = %d, want 9 pre-dedup join rows", vi, m1.OutRows)
+		}
 	}
 }
 
 // TestMeasureCountsProbesAndRows pins the counter semantics the E14
 // calibration relies on: one Eval per range evaluation (a probe for
-// lookups), one Row per emitted binding row.
+// lookups), one Row per emitted binding row, at every batch size.
 func TestMeasureCountsProbesAndRows(t *testing.T) {
 	in := chainInstance()
 	q := &core.Query{
@@ -154,27 +183,29 @@ func TestMeasureCountsProbesAndRows(t *testing.T) {
 			{Var: "h", Range: core.LkNF(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
 		},
 	}
-	p, err := Compile(q, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	m := p.Measure()
-	// IDX probed once (3 rows emitted), HOP probed once per outer row
-	// (3 probes, 2 rows emitted).
-	if m.Evals != 4 {
-		t.Errorf("Evals = %d, want 4 (1 IDX probe + 3 HOP probes)", m.Evals)
-	}
-	if m.Rows != 5 {
-		t.Errorf("Rows = %d, want 5 (3 IDX rows + 2 HOP rows)", m.Rows)
-	}
-	if m.OutRows != 2 {
-		t.Errorf("OutRows = %d, want 2", m.OutRows)
-	}
-	if m.Cost() != float64(4+5+2) {
-		t.Errorf("Cost = %v, want 11", m.Cost())
+	for vi, opts := range streamVariants() {
+		p, err := CompileStream(q, in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		m := p.Measure()
+		// IDX probed once (3 rows emitted), HOP probed once per outer row
+		// (3 probes, 2 rows emitted).
+		if m.Evals != 4 {
+			t.Errorf("variant %d: Evals = %d, want 4 (1 IDX probe + 3 HOP probes)", vi, m.Evals)
+		}
+		if m.Rows != 5 {
+			t.Errorf("variant %d: Rows = %d, want 5 (3 IDX rows + 2 HOP rows)", vi, m.Rows)
+		}
+		if m.OutRows != 2 {
+			t.Errorf("variant %d: OutRows = %d, want 2", vi, m.OutRows)
+		}
+		if m.Cost() != float64(4+5+2) {
+			t.Errorf("variant %d: Cost = %v, want 11", vi, m.Cost())
+		}
 	}
 }
 
@@ -186,10 +217,11 @@ func TestDescribeGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		q    *core.Query
+		opts StreamOptions
 		want string
 	}{
 		{
-			name: "scan+filter",
+			name: "scan with pushdown",
 			q: &core.Query{
 				Out: core.Prj(core.V("r"), "A"),
 				Bindings: []core.Binding{
@@ -198,8 +230,7 @@ func TestDescribeGolden(t *testing.T) {
 				Conds: []core.Cond{{L: core.Prj(core.V("r"), "A"), R: core.C(int64(10))}},
 			},
 			want: "Project r.A\n" +
-				"  Filter [r.A = 10]\n" +
-				"    Scan R as r\n",
+				"  BatchScan R as r pushdown=[r.A = 10]\n",
 		},
 		{
 			name: "lookup chain",
@@ -211,8 +242,8 @@ func TestDescribeGolden(t *testing.T) {
 				},
 			},
 			want: "Project h.B\n" +
-				"  LookupScan HOP[r.K] as h\n" +
-				"    LookupScan(non-failing) IDX{\"hit\"} as r\n",
+				"  BatchLookupScan HOP[r.K] as h\n" +
+				"    BatchLookupScan(non-failing) IDX{\"hit\"} as r\n",
 		},
 		{
 			name: "dom and path scans",
@@ -225,13 +256,36 @@ func TestDescribeGolden(t *testing.T) {
 				},
 			},
 			want: "Project x.B\n" +
-				"  PathScan x.Subs as p\n" +
-				"    LookupScan HOP[k] as x\n" +
-				"      DomScan dom(HOP) as k\n",
+				"  BatchPathScan x.Subs as p\n" +
+				"    BatchLookupScan HOP[k] as x\n" +
+				"      BatchDomScan dom(HOP) as k\n",
+		},
+		{
+			name: "hash join, residual filter and buffer",
+			q: &core.Query{
+				Out: core.Prj(core.V("s"), "B"),
+				Bindings: []core.Binding{
+					{Var: "r", Range: core.Name("R")},
+					{Var: "s", Range: core.Name("S")},
+				},
+				Conds: []core.Cond{
+					{L: core.Prj(core.V("s"), "K"), R: core.Prj(core.V("r"), "K")},
+					{
+						L: core.Struct(core.SF("S", core.Prj(core.V("s"), "B")), core.SF("R", core.Prj(core.V("r"), "A"))),
+						R: core.Struct(core.SF("S", core.C(int64(1))), core.SF("R", core.C(int64(1)))),
+					},
+				},
+			},
+			opts: StreamOptions{Buffer: 2},
+			want: "Project s.B\n" +
+				"  Buffer depth=2\n" +
+				"    BatchFilter [struct(S: s.B, R: r.A) = struct(S: 1, R: 1)]\n" +
+				"      HashJoin S as s build=[s.K] probe=[r.K]\n" +
+				"        BatchScan R as r\n",
 		},
 	}
 	for _, tc := range cases {
-		p, err := Compile(tc.q, in)
+		p, err := CompileStream(tc.q, in, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

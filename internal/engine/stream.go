@@ -1,3 +1,28 @@
+// Package engine is the physical execution engine: it compiles a PC plan
+// into a tree of pull-based streaming operators and runs it against an
+// instance. Operators exchange columnar batches; selections are pushed
+// into scans, equality joins over input-independent ranges become hash
+// joins, and an optional prefetch buffer pipelines the operator tree
+// against the projection/dedup sink.
+//
+// Unlike the reference evaluator (package eval), the engine exploits the
+// physical distinctions that motivate the paper: a dictionary lookup is a
+// hash probe, not a scan, so plans like P3 (secondary-index lookup) and P4
+// (join-index navigation) run in time proportional to their result, not to
+// the base data. The E8 experiment measures exactly this difference.
+//
+// This is the only executor: service.Query, the E8/E14/E18 experiments and
+// the examples all run plans through CompileStream/StreamExecute, and every
+// differential test checks its result sets against eval. Each run reports
+// its work profile as a Measure (range evaluations, rows moved, rows
+// projected), the currency of the E14 calibration and the E18 gates.
+//
+// Concurrency: a compiled StreamPlan and its operators are single-consumer
+// — a plan may not be driven by more than one goroutine at a time
+// (buffered stages spawn internal producer goroutines, but the
+// Open/Next/Close surface remains single-threaded). Plans are cheap to
+// compile; build one per goroutine. Instances are read-only during
+// execution.
 package engine
 
 import (
@@ -55,15 +80,14 @@ func appendKey(sb *strings.Builder, v instance.Value) {
 
 // --- batch scan over a binding range ------------------------------------
 
-// batchScan is the streaming counterpart of bindScan with predicate
-// pushdown: for every input row it evaluates the range term (relation
-// scan, dom scan, entry scan, or dictionary lookup), and filters each
-// candidate element against the pushed-down predicates before the row is
-// ever materialized into the output batch. Counter semantics match the
-// row engine's scan+filter pair — one Eval per range evaluation, one Eval
-// per candidate row checked against predicates — except that rows
-// rejected by a pushed predicate are never counted as moved (Rows counts
-// only survivors), which is exactly the work pushdown saves.
+// batchScan iterates one from-clause binding with predicate pushdown: for
+// every input row it evaluates the range term (relation scan, dom scan,
+// entry scan, or dictionary lookup), and filters each candidate element
+// against the pushed-down predicates before the row is ever materialized
+// into the output batch. Counters: one Eval per range evaluation, one
+// Eval per candidate row checked against predicates, and one Row per
+// survivor — rows rejected by a pushed predicate are never counted as
+// moved, which is exactly the work pushdown saves.
 type batchScan struct {
 	in    *instance.Instance
 	child StreamOperator
@@ -229,8 +253,8 @@ func (b *batchScan) Describe(indent string) string {
 
 // batchFilter applies conditions that could not be pushed into a scan or
 // turned into a hash-join key (for example an equality whose single term
-// mixes the new variable with earlier ones). Counter semantics match the
-// row engine's filter: one Eval per input row, one Row per survivor.
+// mixes the new variable with earlier ones). Counters: one Eval per input
+// row, one Row per survivor.
 type batchFilter struct {
 	in    *instance.Instance
 	child StreamOperator

@@ -30,7 +30,9 @@ func streamVariants() []StreamOptions {
 	}
 }
 
-func TestStreamMatchesRowEngineOnChain(t *testing.T) {
+// TestStreamMatchesEvalOnChain: every option variant must reproduce the
+// reference evaluator's result set on the lookup-chain instance.
+func TestStreamMatchesEvalOnChain(t *testing.T) {
 	in := chainInstance()
 	queries := []*core.Query{
 		{ // non-failing lookup chain with holes
@@ -56,9 +58,9 @@ func TestStreamMatchesRowEngineOnChain(t *testing.T) {
 		},
 	}
 	for qi, q := range queries {
-		want, err := Execute(q, in)
+		want, err := eval.QueryEager(q, in)
 		if err != nil {
-			t.Fatalf("q%d row engine: %v", qi, err)
+			t.Fatalf("q%d eval: %v", qi, err)
 		}
 		for vi, opts := range streamVariants() {
 			got, err := StreamExecute(context.Background(), q, in, opts)
@@ -66,7 +68,7 @@ func TestStreamMatchesRowEngineOnChain(t *testing.T) {
 				t.Fatalf("q%d variant %d: %v", qi, vi, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("q%d variant %d: stream %s != row %s", qi, vi, got, want)
+				t.Fatalf("q%d variant %d: stream %s != eval %s", qi, vi, got, want)
 			}
 		}
 	}
@@ -136,7 +138,7 @@ func TestHashJoinStraddle(t *testing.T) {
 		},
 		Conds: []core.Cond{{L: core.Prj(core.V("s"), "K"), R: core.Prj(core.V("f"), "K")}},
 	}
-	want, err := Execute(q, in)
+	want, err := eval.QueryEager(q, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +214,8 @@ func TestStreamEmptyInputs(t *testing.T) {
 }
 
 // TestStreamFailingLookup: a failing lookup on an absent key must surface
-// *eval.ErrLookupFailed exactly like the row engine, so calibration's
-// skip classification works unchanged on the streaming path.
+// *eval.ErrLookupFailed exactly like eval does, so the skip
+// classification of calibration and Service.Query can rely on it.
 func TestStreamFailingLookup(t *testing.T) {
 	in := chainInstance()
 	q := &core.Query{
@@ -223,8 +225,8 @@ func TestStreamFailingLookup(t *testing.T) {
 			{Var: "h", Range: core.Lk(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
 		},
 	}
-	if _, err := Execute(q, in); err == nil {
-		t.Fatal("row engine should fail on missing HOP key")
+	if _, err := eval.QueryEager(q, in); err == nil {
+		t.Fatal("eval should fail on missing HOP key")
 	}
 	for vi, opts := range streamVariants() {
 		_, err := StreamExecute(context.Background(), q, in, opts)
@@ -298,7 +300,7 @@ func TestStreamEarlyTermination(t *testing.T) {
 // TestStreamDifferentialRandom is the randomized semantic gate: on 100
 // random star/snowflake instances the streaming engine (both physical
 // strategies, varying batch sizes and buffering) must produce exactly
-// the row engine's result set.
+// the reference evaluator's result set.
 func TestStreamDifferentialRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	batches := []int{1, 2, 7, 64, 0}
@@ -309,9 +311,9 @@ func TestStreamDifferentialRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := st.Generate(gen)
-		want, err := Execute(st.Q, in)
+		want, err := eval.QueryEager(st.Q, in)
 		if err != nil {
-			t.Fatalf("case %d: row engine: %v", i, err)
+			t.Fatalf("case %d: eval: %v", i, err)
 		}
 		for _, noHash := range []bool{false, true} {
 			opts := StreamOptions{
@@ -324,7 +326,7 @@ func TestStreamDifferentialRandom(t *testing.T) {
 				t.Fatalf("case %d (noHash=%v): %v", i, noHash, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("case %d (noHash=%v, cfg=%+v): stream %s != row %s", i, noHash, cfg, got, want)
+				t.Fatalf("case %d (noHash=%v, cfg=%+v): stream %s != eval %s", i, noHash, cfg, got, want)
 			}
 		}
 	}
@@ -357,6 +359,208 @@ func TestStreamMeasureDeterministic(t *testing.T) {
 		}
 		if m != first {
 			t.Fatalf("run %d: Measure %+v != first %+v", run, m, first)
+		}
+	}
+}
+
+// TestExecuteMatchesEvalOnProjDept: the running example's query and its
+// P2 (selection scan) and P3 (secondary-index lookup) rewrites must
+// reproduce the reference evaluator's result under every option variant.
+func TestExecuteMatchesEvalOnProjDept(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pd.Generate(workload.GenOptions{NumDepts: 8, ProjsPerDept: 4, CitiBankShare: 0.3, Seed: 9})
+	out := core.Struct(
+		core.SF("PN", core.Prj(core.V("p"), "PName")),
+		core.SF("PB", core.Prj(core.V("p"), "Budg")),
+		core.SF("DN", core.Prj(core.V("p"), "PDept")),
+	)
+	queries := []*core.Query{pd.Q, {
+		Out:      out,
+		Bindings: []core.Binding{{Var: "p", Range: core.Name("Proj")}},
+		Conds:    []core.Cond{{L: core.Prj(core.V("p"), "CustName"), R: core.C("CitiBank")}},
+	}, {
+		Out:      out,
+		Bindings: []core.Binding{{Var: "p", Range: core.LkNF(core.Name("SI"), core.C("CitiBank"))}},
+	}}
+	for qi, q := range queries {
+		want, err := eval.Query(q, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vi, opts := range streamVariants() {
+			got, err := StreamExecute(context.Background(), q, in, opts)
+			if err != nil {
+				t.Fatalf("q%d variant %d: %v\n%s", qi, vi, err, q)
+			}
+			if !got.Equal(want) {
+				t.Errorf("q%d variant %d: result differs from eval:\n%s", qi, vi, q)
+			}
+		}
+	}
+}
+
+// TestExecuteP4JoinIndexPlan: the paper's P4 (join-index navigation with
+// failing lookups in the projection and the condition) must return the
+// original query's answer.
+func TestExecuteP4JoinIndexPlan(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pd.Generate(workload.GenOptions{NumDepts: 5, ProjsPerDept: 3, CitiBankShare: 0.4, Seed: 4})
+	p4 := &core.Query{
+		Out: core.Struct(
+			core.SF("PN", core.Prj(core.V("j"), "PN")),
+			core.SF("PB", core.Prj(core.Lk(core.Name("I"), core.Prj(core.V("j"), "PN")), "Budg")),
+			core.SF("DN", core.Prj(core.Lk(core.Name("Dept"), core.Prj(core.V("j"), "DOID")), "DName")),
+		),
+		Bindings: []core.Binding{{Var: "j", Range: core.Name("JI")}},
+		Conds: []core.Cond{
+			{L: core.Prj(core.Lk(core.Name("I"), core.Prj(core.V("j"), "PN")), "CustName"), R: core.C("CitiBank")},
+		},
+	}
+	want, err := eval.Query(pd.Q, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vi, opts := range streamVariants() {
+		got, err := StreamExecute(context.Background(), p4, in, opts)
+		if err != nil {
+			t.Fatalf("variant %d: %v", vi, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("variant %d: P4 execution differs from Q", vi)
+		}
+	}
+}
+
+// TestCompileRejectsBadPlans: plans with no bindings or with ill-scoped
+// variables fail at compile time, before any operator runs.
+func TestCompileRejectsBadPlans(t *testing.T) {
+	in := instance.NewInstance()
+	if _, err := CompileStream(&core.Query{Out: core.C(1)}, in, StreamOptions{}); err == nil {
+		t.Error("plan with no bindings must be rejected")
+	}
+	bad := &core.Query{
+		Out:      core.V("x"),
+		Bindings: []core.Binding{{Var: "x", Range: core.Prj(core.V("y"), "F")}},
+	}
+	if _, err := CompileStream(bad, in, StreamOptions{}); err == nil {
+		t.Error("ill-scoped plan must be rejected")
+	}
+}
+
+// TestRunErrorsOnMissingName: a plan over a name the instance does not
+// bind compiles (compilation never touches data) but fails at run time.
+func TestRunErrorsOnMissingName(t *testing.T) {
+	in := instance.NewInstance()
+	q := &core.Query{
+		Out:      core.C(1),
+		Bindings: []core.Binding{{Var: "r", Range: core.Name("R")}},
+	}
+	for vi, opts := range streamVariants() {
+		if _, err := StreamExecute(context.Background(), q, in, opts); err == nil {
+			t.Errorf("variant %d: missing schema name must error at run time", vi)
+		}
+	}
+}
+
+// TestExplain: the running example renders a projection over a scan
+// with the selection pushed into it.
+func TestExplain(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pd.Generate(workload.GenOptions{Seed: 1})
+	p, err := CompileStream(pd.Q, in, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := p.Explain()
+	for _, frag := range []string{"Project", "Scan", "pushdown="} {
+		if !strings.Contains(ex, frag) {
+			t.Errorf("Explain missing %q:\n%s", frag, ex)
+		}
+	}
+}
+
+// TestExplainShowsLookupKinds: Explain distinguishes the non-failing
+// lookup form from the failing one.
+func TestExplainShowsLookupKinds(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pd.Generate(workload.GenOptions{Seed: 1})
+	p3 := &core.Query{
+		Out:      core.Prj(core.V("p"), "PName"),
+		Bindings: []core.Binding{{Var: "p", Range: core.LkNF(core.Name("SI"), core.C("CitiBank"))}},
+	}
+	p, err := CompileStream(p3, in, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(p.Explain(), "non-failing") {
+		t.Errorf("Explain should mark non-failing lookups:\n%s", p.Explain())
+	}
+}
+
+// TestConstantFalseCondition: a false variable-free condition empties the
+// result without running the operator tree.
+func TestConstantFalseCondition(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pd.Generate(workload.GenOptions{Seed: 1})
+	q := &core.Query{
+		Out:      core.Prj(core.V("p"), "PName"),
+		Bindings: []core.Binding{{Var: "p", Range: core.Name("Proj")}},
+		Conds:    []core.Cond{{L: core.C(1), R: core.C(2)}},
+	}
+	for vi, opts := range streamVariants() {
+		p, err := CompileStream(q, in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 0 {
+			t.Errorf("variant %d: false constant condition must produce empty result", vi)
+		}
+		if m := p.Measure(); m.Evals != 1 || m.Rows != 0 {
+			t.Errorf("variant %d: Measure = %+v, want only the constant check", vi, m)
+		}
+	}
+}
+
+// TestEngineAgreesWithEvalProperty compares the engine and eval on
+// randomized index-only workloads.
+func TestEngineAgreesWithEvalProperty(t *testing.T) {
+	sc, err := workload.NewIndexOnly(5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		in := sc.Generate(100, 10, 10, seed)
+		want, err := eval.Query(sc.Q, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vi, opts := range streamVariants() {
+			got, err := StreamExecute(context.Background(), sc.Q, in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("seed %d variant %d: engine differs from eval", seed, vi)
+			}
 		}
 	}
 }

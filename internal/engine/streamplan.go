@@ -29,6 +29,39 @@ type StreamOptions struct {
 	NoHashJoin bool
 }
 
+// Counters is the work profile of one operator since its last Open:
+// Evals counts range/condition evaluations (for a lookup scan, one Eval
+// is one dictionary probe; for a relation scan, one pass over the
+// collection; plus one per candidate row checked against a pushed-down
+// predicate), Rows counts rows the operator emitted. The sum over a plan
+// tree is the measured-cost counterpart of cost.Stats.Estimate — the E14
+// calibration experiment correlates the two.
+type Counters struct {
+	Evals int64
+	Rows  int64
+}
+
+func (c *Counters) add(o Counters) {
+	c.Evals += o.Evals
+	c.Rows += o.Rows
+}
+
+// Measure is the work profile of a plan's last Run: the summed operator
+// counters plus the number of rows that reached the projection (before
+// set deduplication).
+type Measure struct {
+	Counters
+	OutRows int64
+}
+
+// Cost collapses the profile into one machine-independent work number —
+// every range evaluation, predicate check, row moved through the pipeline
+// and row projected. It is the scalar the calibration harness compares
+// against cost.Stats estimates.
+func (m Measure) Cost() float64 {
+	return float64(m.Evals + m.Rows + m.OutRows)
+}
+
 // StreamPlan is a compiled streaming query plan. A plan is single-
 // consumer — Run, Measure, and Explain must not be called concurrently —
 // but independent plans compiled from the same query and instance may
@@ -46,9 +79,8 @@ type StreamPlan struct {
 }
 
 // CompileStream builds a streaming operator tree for the plan's binding
-// order. Like the row engine's Compile it places each condition at the
-// earliest binding where its variables are bound, but instead of
-// materializing a Filter operator the conditions are pushed down:
+// order. Each condition is placed at the earliest binding where its
+// variables are bound and pushed down from there:
 //
 //   - conditions mentioning only the new variable (or constants) filter
 //     inside the scan, before the row is materialized;
@@ -194,8 +226,7 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 	p.outRows = 0
 	p.constEvals = 0
 	out := instance.NewSet()
-	// Variable-free conditions decide the whole run once, matching the
-	// row engine's level-0 filter.
+	// Variable-free conditions decide the whole run once.
 	empty := &Batch{schema: newBatchSchema(nil)}
 	for _, c := range p.constConds {
 		p.constEvals++
@@ -237,10 +268,8 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 	}
 }
 
-// Measure returns the work profile accumulated by the last Run, in the
-// same units as the row engine's (*Plan).Measure — Evals + Rows +
-// OutRows is directly comparable across the two engines and is what the
-// E18 execution gates record.
+// Measure returns the work profile accumulated by the last Run — what
+// the E14 calibration and the E18 execution gates record.
 func (p *StreamPlan) Measure() Measure {
 	var m Measure
 	for _, op := range p.ops {

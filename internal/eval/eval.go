@@ -6,8 +6,9 @@
 // soundness tests use to certify that generated data respects the
 // constraint sets.
 //
-// The engine package provides the optimized executor; eval is the simple,
-// obviously-correct baseline both are tested against.
+// The engine package provides the optimized (streaming) executor; eval is
+// the simple, obviously-correct oracle every differential check compares
+// executed plans against.
 package eval
 
 import (
@@ -182,8 +183,9 @@ func Query(q *core.Query, in *instance.Instance) (*instance.Set, error) {
 
 // QueryEager is Query with eager condition filtering: conditions are
 // checked as soon as all their variables are bound, pruning the nested
-// loops early. Semantically identical to Query; used by tests to validate
-// the pushdown reasoning the engine package relies on.
+// loops early. Semantically identical to Query, and the oracle of the
+// differential checks (engine, service, greedy, E19/E20): it prunes
+// like a pushdown executor, so checks at data scale stay affordable.
 func QueryEager(q *core.Query, in *instance.Instance) (*instance.Set, error) {
 	out := instance.NewSet()
 	// For each condition, the binding index after which it can be checked.

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"cnb/internal/core"
-	"cnb/internal/engine"
+	"cnb/internal/eval"
 	"cnb/internal/workload"
 )
 
@@ -142,8 +142,8 @@ func TestPlanDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// TestPlanRowIdentical: the greedy plan, run on the row engine, returns
-// exactly the rows of the original query on seeded star and snowflake
+// TestPlanRowIdentical: the greedy plan, evaluated by the reference
+// evaluator, returns exactly the rows of the original query on seeded star and snowflake
 // instances — the correctness contract the serving tier relies on.
 func TestPlanRowIdentical(t *testing.T) {
 	for _, tc := range []struct {
@@ -165,11 +165,11 @@ func TestPlanRowIdentical(t *testing.T) {
 			if err := plan.Validate(); err != nil {
 				t.Fatalf("greedy plan invalid: %v\n%s", err, plan)
 			}
-			got, err := engine.Execute(plan, in)
+			got, err := eval.QueryEager(plan, in)
 			if err != nil {
 				t.Fatalf("greedy plan: %v", err)
 			}
-			want, err := engine.Execute(st.Q, in)
+			want, err := eval.QueryEager(st.Q, in)
 			if err != nil {
 				t.Fatalf("original query: %v", err)
 			}

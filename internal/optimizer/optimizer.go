@@ -190,7 +190,7 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 	var executable []*core.Query
 	seen := map[string]bool{}
 	for _, p := range plans {
-		s := SimplifyLookups(p)
+		s := planrewrite.SimplifyLookups(p)
 		sig := s.CanonicalSignature()
 		if !seen[sig] {
 			seen[sig] = true
@@ -206,12 +206,4 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 		res.Best = &res.Candidates[0]
 	}
 	return res, nil
-}
-
-// SimplifyLookups rewrites guarded dictionary-domain loops into
-// non-failing lookups; it lives in internal/planrewrite so the
-// cost-bounded backchase can apply the same rewrite before costing a
-// candidate. Kept here as an alias for the optimizer's public surface.
-func SimplifyLookups(q *core.Query) *core.Query {
-	return planrewrite.SimplifyLookups(q)
 }

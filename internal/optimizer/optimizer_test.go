@@ -1,12 +1,14 @@
 package optimizer
 
 import (
+	"context"
 	"testing"
 
 	"cnb/internal/core"
 	"cnb/internal/cost"
 	"cnb/internal/engine"
 	"cnb/internal/eval"
+	"cnb/internal/planrewrite"
 	"cnb/internal/workload"
 )
 
@@ -20,7 +22,7 @@ func TestSimplifyLookupsP3(t *testing.T) {
 		},
 		Conds: []core.Cond{{L: core.V("k"), R: core.C("CitiBank")}},
 	}
-	s := SimplifyLookups(q)
+	s := planrewrite.SimplifyLookups(q)
 	if len(s.Bindings) != 1 {
 		t.Fatalf("bindings = %d, want 1:\n%s", len(s.Bindings), s)
 	}
@@ -48,7 +50,7 @@ func TestSimplifyLookupsSubstitutesEverywhere(t *testing.T) {
 		},
 		Conds: []core.Cond{{L: core.V("p"), R: core.Prj(core.V("r2"), "B")}},
 	}
-	s := SimplifyLookups(q)
+	s := planrewrite.SimplifyLookups(q)
 	if len(s.Bindings) != 2 {
 		t.Fatalf("bindings = %d, want 2:\n%s", len(s.Bindings), s)
 	}
@@ -69,7 +71,7 @@ func TestSimplifyLookupsRefusesIndirectUse(t *testing.T) {
 		},
 		Conds: []core.Cond{{L: core.V("k"), R: core.C("X")}},
 	}
-	s := SimplifyLookups(q)
+	s := planrewrite.SimplifyLookups(q)
 	if len(s.Bindings) != 2 {
 		t.Errorf("indirect lookup must not be simplified:\n%s", s)
 	}
@@ -84,7 +86,7 @@ func TestSimplifyLookupsNoGuardNoChange(t *testing.T) {
 			{Var: "t", Range: core.Lk(core.Name("SI"), core.V("k"))},
 		},
 	}
-	s := SimplifyLookups(q)
+	s := planrewrite.SimplifyLookups(q)
 	if len(s.Bindings) != 2 {
 		t.Errorf("unguarded dom loop must stay:\n%s", s)
 	}
@@ -132,7 +134,7 @@ func TestOptimizeProjDeptEndToEnd(t *testing.T) {
 			break
 		}
 		checked++
-		got, err := engine.Execute(c.Query, in)
+		got, err := engine.StreamExecute(context.Background(), c.Query, in, engine.StreamOptions{})
 		if err != nil {
 			t.Errorf("candidate failed to execute: %v\n%s", err, c.Query)
 			continue

@@ -23,9 +23,10 @@ type InstanceSummary struct {
 	Cards map[string]int64
 }
 
-// InstanceCounters is the cumulative executed-query accounting of one
-// registry entry. Counters survive hot-swaps of the instance data: they
-// describe the name, not one particular snapshot.
+// InstanceCounters is the cumulative query accounting of one registry
+// entry. Counters survive hot-swaps of the instance data: they describe
+// the name, not one particular snapshot. Every Query call that found the
+// instance lands in exactly one of Queries, ExecErrors and PlanErrors.
 type InstanceCounters struct {
 	// Queries counts Query calls that reached execution (instance found,
 	// optimizer delivered a plan pool).
@@ -40,6 +41,10 @@ type InstanceCounters struct {
 	// including per-request context cancellations and plans with no
 	// executable candidate.
 	ExecErrors int64
+	// PlanErrors counts Query calls whose Optimize failed — including a
+	// cancellation or deadline expiring while planning — so they never
+	// reached execution.
+	PlanErrors int64
 }
 
 // instanceEntry is one registry slot: the swappable data snapshot plus
@@ -51,6 +56,7 @@ type instanceEntry struct {
 	rows       atomic.Int64
 	evals      atomic.Int64
 	execErrors atomic.Int64
+	planErrors atomic.Int64
 }
 
 // instanceSnapshot pairs an instance with its precomputed summary so the
@@ -66,6 +72,7 @@ func (e *instanceEntry) counters() InstanceCounters {
 		Rows:       e.rows.Load(),
 		Evals:      e.evals.Load(),
 		ExecErrors: e.execErrors.Load(),
+		PlanErrors: e.planErrors.Load(),
 	}
 }
 

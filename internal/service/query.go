@@ -88,7 +88,10 @@ type QueryResponse struct {
 // counters to the instance's cumulative accounting; any execution
 // failure — lookup-failed pool exhaustion, cancellation, runtime error —
 // increments the instance's ExecErrors instead, so Queries + ExecErrors
-// always equals the number of Query calls that reached execution.
+// always equals the number of Query calls that reached execution. A
+// planning failure (including cancellation inside Optimize) increments
+// PlanErrors, so Queries + ExecErrors + PlanErrors equals every Query
+// call that found the instance.
 func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	snap, ok := s.lookupInstance(req.Instance)
 	if !ok {
@@ -99,6 +102,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	planStart := time.Now()
 	opt, err := s.Optimize(ctx, req.Request)
 	if err != nil {
+		entry.planErrors.Add(1)
 		return nil, err
 	}
 	planDur := time.Since(planStart)

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"cnb/internal/core"
-	"cnb/internal/engine"
+	"cnb/internal/eval"
 	"cnb/internal/instance"
 	"cnb/internal/workload"
 )
@@ -44,12 +44,12 @@ func rowsAsSet(rows []instance.Value) *instance.Set {
 	return s
 }
 
-// TestQueryMatchesRowEngine is the differential check behind the /query
+// TestQueryMatchesEval is the differential check behind the /query
 // contract: the served result — optimizer-delivered plan, streaming
-// execution — must equal the row engine's evaluation of the original
-// logical query on the same instance, for both the relational running
-// example and a star workload.
-func TestQueryMatchesRowEngine(t *testing.T) {
+// execution — must equal the reference evaluator's result for the
+// original logical query on the same instance, for both the relational
+// running example and a star workload.
+func TestQueryMatchesEval(t *testing.T) {
 	t.Run("projdept", func(t *testing.T) {
 		svc, req, in := projDeptQuerySetup(t, "pd",
 			workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.2, Seed: 7})
@@ -57,12 +57,12 @@ func TestQueryMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.Execute(req.Query, in)
+		want, err := eval.QueryEager(req.Query, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := rowsAsSet(resp.Rows); !got.Equal(want) {
-			t.Fatalf("served %d rows != row engine %d rows", got.Len(), want.Len())
+			t.Fatalf("served %d rows != eval %d rows", got.Len(), want.Len())
 		}
 		if resp.ResultRows != want.Len() {
 			t.Fatalf("ResultRows = %d, want %d", resp.ResultRows, want.Len())
@@ -89,12 +89,12 @@ func TestQueryMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.Execute(s.Q, in)
+		want, err := eval.QueryEager(s.Q, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := rowsAsSet(resp.Rows); !got.Equal(want) {
-			t.Fatalf("served %d rows != row engine %d rows", got.Len(), want.Len())
+			t.Fatalf("served %d rows != eval %d rows", got.Len(), want.Len())
 		}
 	})
 }
@@ -105,7 +105,7 @@ func TestQueryMatchesRowEngine(t *testing.T) {
 func TestQueryRowCapTruncation(t *testing.T) {
 	svc, req, in := projDeptQuerySetup(t, "pd",
 		workload.GenOptions{NumDepts: 40, ProjsPerDept: 10, CitiBankShare: 0.5, Seed: 3})
-	want, err := engine.Execute(req.Query, in)
+	want, err := eval.QueryEager(req.Query, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestQueryInstanceHotSwapRace(t *testing.T) {
 	inA, inB := pd.Generate(genA), pd.Generate(genB)
 	req := Request{Query: pd.Q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()}
 
-	wantA, err := engine.Execute(pd.Q, inA)
+	wantA, err := eval.QueryEager(pd.Q, inA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantB, err := engine.Execute(pd.Q, inB)
+	wantB, err := eval.QueryEager(pd.Q, inB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,8 @@ func TestQueryInstanceHotSwapRace(t *testing.T) {
 // long enough for a few-millisecond deadline to land inside Run — and
 // then requires the goroutine count to settle back to the baseline: the
 // buffered pipeline stage's background prefetch goroutine must be
-// joined on every exit path.
+// joined on every exit path. A deadline may also expire while planning;
+// the instance counters must account for every call either way.
 func TestQueryCancellationNoGoroutineLeak(t *testing.T) {
 	s, err := workload.NewStar(workload.StarConfig{Dims: 1, Select: true, SelectA: 1})
 	if err != nil {
@@ -372,8 +373,28 @@ func TestQueryCancellationNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after cancelled queries", before, now)
 	}
 	qc, _ := svc.InstanceCountersFor("star")
-	if got := qc.Queries + qc.ExecErrors; got != int64(1+5) {
-		t.Fatalf("counter consistency: Queries+ExecErrors = %d, want 6 (%+v)", got, qc)
+	if got := qc.Queries + qc.ExecErrors + qc.PlanErrors; got != int64(1+5) {
+		t.Fatalf("counter consistency: Queries+ExecErrors+PlanErrors = %d, want 6 (%+v)", got, qc)
+	}
+}
+
+// TestQueryPlanErrorCounted: a Query whose planning fails — here a
+// context cancelled before the optimizer runs — never reaches execution
+// and lands in the instance's PlanErrors bucket, so the three buckets
+// still partition every call that found the instance.
+func TestQueryPlanErrorCounted(t *testing.T) {
+	svc, req, _ := projDeptQuerySetup(t, "pd", workload.GenOptions{NumDepts: 5, ProjsPerDept: 2, Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := svc.Query(ctx, QueryRequest{Request: req, Instance: "pd"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if _, err := svc.Query(context.Background(), QueryRequest{Request: req, Instance: "pd"}); err != nil {
+		t.Fatal(err)
+	}
+	qc, _ := svc.InstanceCountersFor("pd")
+	if qc.PlanErrors != 1 || qc.ExecErrors != 0 || qc.Queries != 1 {
+		t.Fatalf("counters = %+v, want PlanErrors 1, ExecErrors 0, Queries 1", qc)
 	}
 }
 
